@@ -1,9 +1,8 @@
 // Package bench is the experiment harness: it regenerates every table
 // and figure of the paper's evaluation section (Figs. 2-8, Tables
 // II-III) by building emulated networks, driving calibrated workloads,
-// and printing the same rows/series the paper reports. See DESIGN.md
-// section 5 for the experiment index and EXPERIMENTS.md for measured
-// versus published results.
+// and printing the same rows/series the paper reports. All lists the
+// experiment index (fabricbench -list prints it).
 package bench
 
 import (
@@ -335,7 +334,8 @@ func phaseCols(sum metrics.Summary) string {
 
 // Experiment is one runnable reproduction artifact.
 type Experiment struct {
-	// ID matches DESIGN.md's experiment index (fig2 ... table3).
+	// ID names the experiment on the fabricbench command line (fig2 ...
+	// table3).
 	ID string
 	// Title is the paper artifact's caption.
 	Title string

@@ -49,7 +49,7 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// TestRunPointShapes is the harness self-test from DESIGN.md section 8:
+// TestRunPointShapes is the harness self-test:
 // a short overdriven run must exhibit the paper's bottleneck ordering
 // (execute keeps up with the offered rate, validate saturates below it).
 func TestRunPointShapes(t *testing.T) {

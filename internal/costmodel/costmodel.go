@@ -5,7 +5,7 @@
 // and I/O *cost* is injected from this model, and every constant lives
 // here so the calibration is auditable in one place.
 //
-// Calibration targets (see DESIGN.md section 4):
+// Calibration targets (pinned by TestCalibrationTargets):
 //
 //   - a single client process sustains ~50 tps under OR (Table II slope),
 //   - ANDx client cost grows with x (17ms + 1.2ms*x per tx),

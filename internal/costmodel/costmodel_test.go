@@ -21,7 +21,7 @@ func TestDefaultsSane(t *testing.T) {
 	}
 }
 
-// The calibration targets from DESIGN.md section 4 are structural
+// The calibration targets in the package doc are structural
 // properties of the model; this test pins them so a constant change
 // that breaks the reproduction fails loudly.
 func TestCalibrationTargets(t *testing.T) {

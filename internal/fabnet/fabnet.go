@@ -1184,6 +1184,12 @@ type RestartResult struct {
 	// moment the old incarnation stopped — the tip a persistent restart
 	// should recover to, and the gap a volatile one must replay.
 	OldHeights map[string]uint64
+	// StartHeights records the chain height per channel the new
+	// incarnation came up with, read after the ledgers were opened and
+	// before Start joined block dissemination: genesis only (1) for a
+	// volatile restart, the recovered tip for a persistent one. Catch-up
+	// may raise the live height before RestartPeer returns.
+	StartHeights map[string]uint64
 	// Persistent reports whether the restarted peer reopened file-backed
 	// ledgers (true) or came back with empty mem ledgers.
 	Persistent bool
@@ -1235,6 +1241,12 @@ func (n *Network) RestartPeer(ctx context.Context, id string) (*RestartResult, e
 	p, err := peer.New(pcfg)
 	if err != nil {
 		return nil, fmt.Errorf("fabnet: restart %s: %w", id, err)
+	}
+	res.StartHeights = make(map[string]uint64, len(p.Channels()))
+	for _, ch := range p.Channels() {
+		if led, ok := p.LedgerFor(ch); ok {
+			res.StartHeights[ch] = led.Height()
+		}
 	}
 	if err := p.Start(ctx); err != nil {
 		return nil, fmt.Errorf("fabnet: restart %s: %w", id, err)
@@ -1498,9 +1510,7 @@ func registerWireTypes() {
 			&types.ProposalResponse{},
 			[]peer.CommitEvent(nil),
 			&peer.CommitEvent{},
-			&peer.CommitStatusRequest{},
 			&orderer.BroadcastEnvelope{},
-			&orderer.GetBlockArgs{},
 			&orderer.GetBlocksArgs{}, &orderer.GetBlocksReply{},
 			&orderer.SubscribeArgs{}, &orderer.SubscribeReply{},
 			&orderer.SubmitArgs{},

@@ -124,6 +124,9 @@ func TestFileBackedRestartCheckpointTail(t *testing.T) {
 	if got := res.Peer.Ledger().Height(); got != old {
 		t.Fatalf("restarted peer reopened at height %d, want %d", got, old)
 	}
+	if got := res.StartHeights[n.Cfg.ChannelID]; got != old {
+		t.Fatalf("restart reported start height %d, want %d", got, old)
+	}
 	waitStateConverged(t, n.Peers, 15*time.Second)
 	if err := res.Peer.Ledger().VerifyChain(); err != nil {
 		t.Error(err)
@@ -133,6 +136,23 @@ func TestFileBackedRestartCheckpointTail(t *testing.T) {
 	if _, ok, err := res.Peer.Ledger().State().Get(ChaincodeBench, "p0"); err != nil || !ok {
 		t.Errorf("reopened peer missing pre-restart key (ok=%v err=%v)", ok, err)
 	}
+}
+
+// rejoinTarget picks the replica the snapshot-rejoin tests crash: the
+// last peer that does not lead the default channel. The org leader is
+// the member every other one defers to, so a restarted leader reclaims
+// the deliver subscription at once and backfills from the orderer; that
+// is the leader catch-up path, not the anti-entropy snapshot path these
+// tests cover.
+func rejoinTarget(t *testing.T, n *Network) *peer.Peer {
+	t.Helper()
+	for i := len(n.Peers) - 1; i >= 0; i-- {
+		if !n.Peers[i].GossipNode().IsLeader(n.Cfg.ChannelID) {
+			return n.Peers[i]
+		}
+	}
+	t.Fatal("every peer leads the default channel")
+	return nil
 }
 
 // TestSnapshotBootstrapRejoin is the disk-loss acceptance path: a
@@ -152,7 +172,7 @@ func TestSnapshotBootstrapRejoin(t *testing.T) {
 	invokeN(t, n, "s", 24) // well past the snapshot threshold
 	waitStateConverged(t, n.Peers, 15*time.Second)
 
-	target := n.Peers[len(n.Peers)-1]
+	target := rejoinTarget(t, n)
 	res, err := n.RestartPeer(context.Background(), target.ID())
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +211,7 @@ func TestSnapshotBootstrapRejoinTCP(t *testing.T) {
 	invokeN(t, n, "t", 24)
 	waitStateConverged(t, n.Peers, 15*time.Second)
 
-	target := n.Peers[len(n.Peers)-1]
+	target := rejoinTarget(t, n)
 	res, err := n.RestartPeer(context.Background(), target.ID())
 	if err != nil {
 		t.Fatal(err)

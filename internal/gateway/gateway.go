@@ -87,13 +87,8 @@ type Config struct {
 	CPU *simcpu.CPU
 	// Orderers lists OSN IDs; broadcasts round-robin across them.
 	Orderers []string
-	// EventPeer is the peer whose commit events this gateway follows,
-	// and the peer its commit-status requests go to.
+	// EventPeer is the peer whose commit events this gateway follows.
 	EventPeer string
-	// NoEventStream disables the standing commit-event subscription:
-	// every Commit future then resolves through the peer's commit-status
-	// request path instead (one blocking request per transaction).
-	NoEventStream bool
 	// Policy is the channel endorsement policy.
 	Policy policy.Policy
 	// PeersByPrincipal maps policy principals (e.g. "Org1.peer0") to
@@ -200,8 +195,7 @@ type pendingTx struct {
 
 // Gateway is one client process's connection to the network: it signs
 // proposals, fans endorsement requests out, broadcasts envelopes, and
-// resolves commit futures from the event stream (or per-transaction
-// commit-status requests).
+// resolves commit futures from the event peer's commit-event stream.
 type Gateway struct {
 	cfg Config
 
@@ -213,9 +207,8 @@ type Gateway struct {
 	pending map[types.TxID]*pendingTx
 	window  chan struct{} // SubmitAsync in-flight slots
 
-	subOnce    sync.Once
-	subErr     error
-	subscribed atomic.Bool
+	subOnce sync.Once
+	subErr  error
 
 	// defOnce lazily builds the private balancer and load tracker used
 	// when the configuration shares neither (direct-construction tests
@@ -287,15 +280,6 @@ func (g *Gateway) SetMaxInFlight(n int) {
 	}
 }
 
-// useStatusRequests reports whether commit futures resolve through the
-// per-transaction commit-status request path instead of the event
-// stream. The subscription state is settled by the Connect preceding
-// every submission, so the answer is stable for a transaction's
-// lifetime.
-func (g *Gateway) useStatusRequests() bool {
-	return !g.subscribed.Load() && g.cfg.EventPeer != ""
-}
-
 // policyFor returns the endorsement policy governing one channel.
 func (g *Gateway) policyFor(channel string) policy.Policy {
 	if pol, ok := g.cfg.PolicyByChannel[channel]; ok && pol != nil {
@@ -306,19 +290,17 @@ func (g *Gateway) policyFor(channel string) policy.Policy {
 
 // Connect establishes the commit-event subscription on the event peer;
 // it is called lazily by the first Propose but may be called eagerly at
-// startup. With NoEventStream set (or no event peer configured) it is a
-// no-op and commit futures resolve through status requests.
+// startup. Without an event peer it is a no-op, and every commit future
+// resolves through the ordering timeout.
 func (g *Gateway) Connect(ctx context.Context) error {
 	g.subOnce.Do(func() {
-		if g.cfg.EventPeer == "" || g.cfg.NoEventStream {
+		if g.cfg.EventPeer == "" {
 			return
 		}
 		_, err := g.cfg.Endpoint.Call(ctx, g.cfg.EventPeer, peer.KindSubscribeEvents, g.cfg.ID, 16)
 		if err != nil {
 			g.subErr = fmt.Errorf("gateway %s: subscribe events: %w", g.cfg.ID, err)
-			return
 		}
-		g.subscribed.Store(true)
 	})
 	return g.subErr
 }

@@ -197,7 +197,8 @@ func TestNewRequiresOrderers(t *testing.T) {
 // stubNet wires a gateway to a stub endorsing peer and a stub orderer
 // over the in-memory transport. The stubs implement just enough of the
 // peer/orderer surface to exercise the gateway stages; commit events
-// are injected by the test through the stub peer's endpoint.
+// are injected by the test through the stub peer's endpoint, or
+// scripted per broadcast through commitOutcome.
 type stubNet struct {
 	t      *testing.T
 	gw     *Gateway
@@ -206,9 +207,10 @@ type stubNet struct {
 	broadcasts atomic.Int64
 	// endorseDelay stalls the stub endorser (for window tests).
 	endorseDelay time.Duration
-	// statusReply, when non-nil, is the stub peer's commit-status
-	// answer (for the request-path tests).
-	statusReply func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error)
+	// commitOutcome, when non-nil, scripts the commit of every accepted
+	// broadcast: the stub peer pushes the returned event to the gateway's
+	// commit-event stream.
+	commitOutcome func(id types.TxID) peer.CommitEvent
 }
 
 func newStubNet(t *testing.T, mutate func(cfg *Config), opts func(s *stubNet)) *stubNet {
@@ -252,16 +254,11 @@ func newStubNet(t *testing.T, mutate func(cfg *Config), opts func(s *stubNet)) *
 			Endorsement: types.Endorsement{EndorserID: "Org1.peer0", EndorserOrg: "Org1"},
 		}, 64, nil
 	})
-	peerEP.Handle(peer.KindCommitStatus, func(_ context.Context, _ string, payload any) (any, int, error) {
-		req := payload.(*peer.CommitStatusRequest)
-		if s.statusReply == nil {
-			return nil, 0, peer.ErrTxNotFound
-		}
-		ev, err := s.statusReply(req)
-		return ev, 48, err
-	})
-	osnEP.Handle(orderer.KindBroadcast, func(_ context.Context, _ string, _ any) (any, int, error) {
+	osnEP.Handle(orderer.KindBroadcast, func(_ context.Context, _ string, payload any) (any, int, error) {
 		s.broadcasts.Add(1)
+		if s.commitOutcome != nil {
+			s.pushCommit(payload.(*orderer.BroadcastEnvelope))
+		}
 		return "ACK", 3, nil
 	})
 
@@ -308,6 +305,20 @@ func (s *stubNet) commitTx(id types.TxID, code types.ValidationCode) {
 	}}, 48)
 	if err != nil {
 		s.t.Fatal(err)
+	}
+}
+
+// pushCommit pushes the scripted commit event of one broadcast envelope
+// to the gateway's commit-event stream.
+func (s *stubNet) pushCommit(benv *orderer.BroadcastEnvelope) {
+	info, err := types.PeekEnvelopeInfo(benv.Env)
+	if err != nil {
+		s.t.Error(err)
+		return
+	}
+	ev := s.commitOutcome(info.TxID)
+	if err = s.peerEP.Send("gw1", peer.KindCommitEvent, []peer.CommitEvent{ev}, 48); err != nil {
+		s.t.Error(err)
 	}
 }
 
@@ -434,7 +445,6 @@ func TestInvokeRetriesConflicts(t *testing.T) {
 	seen := make(map[types.TxID]bool)
 	var mu sync.Mutex
 	s := newStubNet(t, func(cfg *Config) {
-		cfg.NoEventStream = true
 		cfg.Retry = RetryConfig{
 			MaxAttempts:    3,
 			InitialBackoff: time.Millisecond,
@@ -443,15 +453,15 @@ func TestInvokeRetriesConflicts(t *testing.T) {
 			Seed:           42,
 		}
 	}, nil)
-	s.statusReply = func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error) {
+	s.commitOutcome = func(id types.TxID) peer.CommitEvent {
 		mu.Lock()
-		seen[req.TxID] = true
+		seen[id] = true
 		mu.Unlock()
 		code := types.ValidationMVCCConflict
 		if calls.Add(1) >= 3 {
 			code = types.ValidationValid
 		}
-		return &peer.CommitEvent{TxID: req.TxID, Code: code, BlockNum: 9}, nil
+		return peer.CommitEvent{TxID: id, Code: code, BlockNum: 9}
 	}
 	st, err := s.gw.Invoke(context.Background(), "", "bench", "write", [][]byte{[]byte("k"), []byte("v")})
 	if err != nil {
@@ -476,12 +486,11 @@ func TestInvokeRetryExhaustionSurfacesConflict(t *testing.T) {
 	// surfaces unchanged.
 	var calls atomic.Int64
 	s := newStubNet(t, func(cfg *Config) {
-		cfg.NoEventStream = true
 		cfg.Retry = RetryConfig{MaxAttempts: 2, InitialBackoff: time.Millisecond}
 	}, nil)
-	s.statusReply = func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error) {
+	s.commitOutcome = func(id types.TxID) peer.CommitEvent {
 		calls.Add(1)
-		return &peer.CommitEvent{TxID: req.TxID, Code: types.ValidationMVCCConflict}, nil
+		return peer.CommitEvent{TxID: id, Code: types.ValidationMVCCConflict}
 	}
 	_, err := s.gw.Invoke(context.Background(), "", "bench", "write", [][]byte{[]byte("k"), []byte("v")})
 	if !errors.Is(err, ErrMVCCConflict) {
@@ -495,15 +504,14 @@ func TestInvokeRetryExhaustionSurfacesConflict(t *testing.T) {
 func TestSubmitAsyncRetriesConflicts(t *testing.T) {
 	var calls atomic.Int64
 	s := newStubNet(t, func(cfg *Config) {
-		cfg.NoEventStream = true
 		cfg.Retry = RetryConfig{MaxAttempts: 2, InitialBackoff: time.Millisecond}
 	}, nil)
-	s.statusReply = func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error) {
+	s.commitOutcome = func(id types.TxID) peer.CommitEvent {
 		code := types.ValidationEarlyAbort
 		if calls.Add(1) >= 2 {
 			code = types.ValidationValid
 		}
-		return &peer.CommitEvent{TxID: req.TxID, Code: code, BlockNum: 4}, nil
+		return peer.CommitEvent{TxID: id, Code: code, BlockNum: 4}
 	}
 	cmt, err := s.gw.SubmitAsync(context.Background(), "", "bench", "write", [][]byte{[]byte("k"), []byte("v")})
 	if err != nil {
@@ -672,28 +680,6 @@ func TestSetMaxInFlightResizesWindow(t *testing.T) {
 	s.gw.SetMaxInFlight(7)
 	if got := s.gw.MaxInFlight(); got != 7 {
 		t.Fatalf("window = %d after SetMaxInFlight(7)", got)
-	}
-}
-
-func TestCommitStatusRequestPath(t *testing.T) {
-	// NoEventStream: the future resolves through the peer's
-	// commit-status request instead of a standing subscription.
-	s := newStubNet(t, func(cfg *Config) { cfg.NoEventStream = true }, nil)
-	s.statusReply = func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error) {
-		if req.WaitNanos <= 0 {
-			t.Errorf("commit future sent a non-waiting status request")
-		}
-		return &peer.CommitEvent{TxID: req.TxID, Code: types.ValidationValid, BlockNum: 3}, nil
-	}
-	st, err := s.gw.Invoke(context.Background(), "", "bench", "write", [][]byte{[]byte("k"), []byte("v")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Committed || st.BlockNum != 3 {
-		t.Fatalf("status = %+v", st)
-	}
-	if n := s.gw.pendingCount(); n != 0 {
-		t.Fatalf("pending entries leaked: %d", n)
 	}
 }
 

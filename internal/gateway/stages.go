@@ -289,19 +289,11 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 // installed before the broadcast so the event can never outrace it.
 func (t *Transaction) Submit(ctx context.Context) (*Commit, error) {
 	g := t.gw
-	// A gateway resolving futures through commit-status requests never
-	// reads the event stream, so skip the pending registration (and its
-	// per-transaction contention on the shared mutex) entirely.
-	var pend *pendingTx
-	if !g.useStatusRequests() {
-		pend = g.registerPending(t.prop.TxID)
-	}
+	pend := g.registerPending(t.prop.TxID)
 
 	benv := &orderer.BroadcastEnvelope{Channel: t.channel, Env: t.env}
 	if err := g.broadcast(ctx, benv, len(t.env)+len(t.channel)+16); err != nil {
-		if pend != nil {
-			g.unregisterPending(t.prop.TxID)
-		}
+		g.unregisterPending(t.prop.TxID)
 		if g.cfg.Collector != nil {
 			g.cfg.Collector.Rejected(t.prop.TxID)
 		}
@@ -323,7 +315,7 @@ func (t *Transaction) Submit(ctx context.Context) (*Commit, error) {
 			"attempt", fmt.Sprint(t.attempt),
 			"channel", t.channel)
 	}
-	go g.awaitCommit(c, t.channel, pend)
+	go g.awaitCommit(c, pend)
 	return c, nil
 }
 
@@ -386,20 +378,12 @@ func (g *Gateway) broadcast(ctx context.Context, benv *orderer.BroadcastEnvelope
 	return fmt.Errorf("%w (last error: %v)", ErrOrdererUnavailable, lastErr)
 }
 
-// awaitCommit resolves one Commit future in the background: from the
-// event stream when subscribed, otherwise through the peer's
-// commit-status request path. Running it detached from Status callers
-// guarantees the pending map is cleaned up after the ordering timeout
-// even for fire-and-forget submissions nobody ever awaits.
-func (g *Gateway) awaitCommit(c *Commit, channel string, pend *pendingTx) {
-	wait := g.cfg.Model.ScaledDelay(g.cfg.Model.OrderTimeout)
-
-	if pend == nil {
-		g.awaitCommitStatus(c, channel, wait)
-		return
-	}
-
-	timeout := time.NewTimer(wait)
+// awaitCommit resolves one Commit future in the background from the
+// event stream. Running it detached from Status callers guarantees the
+// pending map is cleaned up after the ordering timeout even for
+// fire-and-forget submissions nobody ever awaits.
+func (g *Gateway) awaitCommit(c *Commit, pend *pendingTx) {
+	timeout := time.NewTimer(g.cfg.Model.ScaledDelay(g.cfg.Model.OrderTimeout))
 	defer timeout.Stop()
 	// The pending entry is removed before the future resolves, so a
 	// resolved future implies no leaked map entry.
@@ -409,48 +393,7 @@ func (g *Gateway) awaitCommit(c *Commit, channel string, pend *pendingTx) {
 		g.resolve(c, ev)
 	case <-timeout.C:
 		g.unregisterPending(c.txID)
-		g.resolveTimeout(c, nil)
-	}
-}
-
-// awaitCommitStatus resolves one future through the peer's blocking
-// commit-status request path, retrying transient failures (transport
-// errors, a restarting peer) until the ordering-timeout budget runs
-// out. The last request error is attached to the timeout so a
-// persistent misconfiguration (e.g. an event peer not joined to the
-// channel) stays diagnosable instead of masquerading as ordering lag.
-func (g *Gateway) awaitCommitStatus(c *Commit, channel string, wait time.Duration) {
-	deadline := time.Now().Add(wait)
-	retryGap := g.cfg.Model.ScaledDelay(50 * time.Millisecond)
-	var lastErr error
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			g.resolveTimeout(c, lastErr)
-			return
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), remaining)
-		req := &peer.CommitStatusRequest{TxID: c.txID, Channel: channel, WaitNanos: int64(remaining)}
-		raw, err := g.cfg.Endpoint.Call(ctx, g.cfg.EventPeer, peer.KindCommitStatus, req, 64)
-		cancel()
-		if err == nil {
-			if ev, ok := raw.(*peer.CommitEvent); ok {
-				g.resolve(c, *ev)
-				return
-			}
-			err = fmt.Errorf("gateway: bad commit-status reply %T", raw)
-		}
-		lastErr = err
-		gap := retryGap
-		if gap <= 0 {
-			gap = time.Millisecond
-		}
-		if r := time.Until(deadline); gap > r {
-			gap = r
-		}
-		if gap > 0 {
-			time.Sleep(gap)
-		}
+		g.resolveTimeout(c)
 	}
 }
 
@@ -564,9 +507,8 @@ func (g *Gateway) retrySleep(ctx context.Context, retry int) error {
 }
 
 // resolveTimeout completes a future as rejected by the ordering
-// timeout; cause, when non-nil, is the last commit-status failure and
-// is attached for diagnosis.
-func (g *Gateway) resolveTimeout(c *Commit, cause error) {
+// timeout.
+func (g *Gateway) resolveTimeout(c *Commit) {
 	if g.cfg.Collector != nil {
 		g.cfg.Collector.Rejected(c.txID)
 	}
@@ -574,10 +516,6 @@ func (g *Gateway) resolveTimeout(c *Commit, cause error) {
 		tr.Record(c.traceID, trace.SpanGatewayCommitWait, g.cfg.ID, c.ackedAt, time.Now(),
 			"attempt", fmt.Sprint(c.attempt),
 			"outcome", "ordering-timeout")
-	}
-	if cause != nil {
-		c.complete(nil, fmt.Errorf("%w (last commit-status error: %v)", ErrOrderingTimeout, cause))
-		return
 	}
 	c.complete(nil, ErrOrderingTimeout)
 }

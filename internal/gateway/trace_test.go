@@ -27,7 +27,6 @@ func TestInvokeRetryRecordsAttempts(t *testing.T) {
 	backoff := 400 * time.Millisecond
 	scaledBackoff := 4 * time.Millisecond
 	s := newStubNet(t, func(cfg *Config) {
-		cfg.NoEventStream = true
 		cfg.Collector = col
 		cfg.Tracer = tr
 		cfg.Retry = RetryConfig{
@@ -36,14 +35,14 @@ func TestInvokeRetryRecordsAttempts(t *testing.T) {
 			MaxBackoff:     backoff,
 		}
 	}, nil)
-	s.statusReply = func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error) {
+	s.commitOutcome = func(id types.TxID) peer.CommitEvent {
 		code := types.ValidationMVCCConflict
 		if calls.Add(1) >= 3 {
 			code = types.ValidationValid
 		}
 		now := time.Now().UnixNano()
-		return &peer.CommitEvent{TxID: req.TxID, Code: code, BlockNum: 7,
-			OrderedTime: now, CommitTime: now}, nil
+		return peer.CommitEvent{TxID: id, Code: code, BlockNum: 7,
+			OrderedTime: now, CommitTime: now}
 	}
 
 	start := time.Now()

@@ -76,7 +76,8 @@ type CommitStageEvent struct {
 	EarlyAborts int
 	// WastedValidate is the modeled validate CPU the block spent on
 	// transactions that then failed MVCC — work early abort would have
-	// saved.
+	// saved. Unlike the stage durations above it is model time already
+	// (a sum of Model.MVCCPerTxCPU), so summaries must not unscale it.
 	WastedValidate time.Duration
 }
 
@@ -682,7 +683,7 @@ func (c *Collector) Summarize(opts SummaryOptions) Summary {
 		stageTxs += ev.Txs
 		s.MVCCAborts += ev.MVCCAborts
 		s.EarlyAborts += ev.EarlyAborts
-		s.WastedValidateCPU += unscale(ev.WastedValidate)
+		s.WastedValidateCPU += ev.WastedValidate // already model time
 	}
 	s.VSCCStage = reduceLatency(vsccSt)
 	s.ApplyStage = reduceLatency(applySt)

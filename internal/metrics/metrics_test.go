@@ -261,16 +261,20 @@ func TestCommitStageAbortAccounting(t *testing.T) {
 			CommittedAt:    base.Add(at),
 		})
 	}
-	s := c.Summarize(SummaryOptions{TimeScale: 1.0})
-	if s.MVCCAborts != 16 || s.EarlyAborts != 4 {
-		t.Errorf("aborts = %d mvcc %d early, want 16/4", s.MVCCAborts, s.EarlyAborts)
-	}
-	// 20 aborts over 200 in-window block txs.
-	if s.AbortRate < 0.099 || s.AbortRate > 0.101 {
-		t.Errorf("abort rate = %.3f, want 0.10", s.AbortRate)
-	}
-	if s.WastedValidateCPU != 8*time.Millisecond {
-		t.Errorf("wasted validate = %s, want 8ms", s.WastedValidateCPU)
+	// WastedValidate is already model time, so the time scale must not
+	// stretch it the way it stretches wall-clock stage durations.
+	for _, scale := range []float64{1.0, 0.1} {
+		s := c.Summarize(SummaryOptions{TimeScale: scale})
+		if s.MVCCAborts != 16 || s.EarlyAborts != 4 {
+			t.Errorf("scale %g: aborts = %d mvcc %d early, want 16/4", scale, s.MVCCAborts, s.EarlyAborts)
+		}
+		// 20 aborts over 200 in-window block txs.
+		if s.AbortRate < 0.099 || s.AbortRate > 0.101 {
+			t.Errorf("scale %g: abort rate = %.3f, want 0.10", scale, s.AbortRate)
+		}
+		if s.WastedValidateCPU != 8*time.Millisecond {
+			t.Errorf("scale %g: wasted validate = %s, want 8ms", scale, s.WastedValidateCPU)
+		}
 	}
 }
 

@@ -33,19 +33,18 @@ import (
 const (
 	// KindBroadcast is the client -> OSN transaction submission.
 	KindBroadcast = "orderer.broadcast"
-	// KindSubscribe registers a peer for block delivery. A nil payload
-	// subscribes to every channel (the classic per-peer deliver); a
-	// *SubscribeArgs payload narrows the subscription to named channels
-	// (the gossip org-leader deliver).
+	// KindSubscribe registers a peer for block delivery. Its
+	// *SubscribeArgs payload names the channels to subscribe to; empty
+	// Channels subscribes to every channel (the classic per-peer
+	// deliver), named ones narrow it (the gossip org-leader deliver).
 	KindSubscribe = "orderer.subscribe"
 	// KindUnsubscribe removes a peer's deliver subscription, entirely
-	// (nil payload) or for the named channels (*SubscribeArgs). A gossip
-	// leader that loses its lease hands the subscription off this way.
+	// (empty Channels) or for the channels its *SubscribeArgs names. A
+	// gossip leader that loses its lease hands the subscription off this
+	// way.
 	KindUnsubscribe = "orderer.unsubscribe"
-	// KindGetBlock fetches one block by number (deliver catch-up).
-	KindGetBlock = "orderer.getblock"
-	// KindGetBlocks fetches a block range in one round trip (batched
-	// catch-up); the single-block kind stays for compatibility.
+	// KindGetBlocks fetches a block range in one round trip (deliver
+	// catch-up).
 	KindGetBlocks = "orderer.getblocks"
 	// KindSubmit is the intra-cluster Raft forward from follower OSNs
 	// to the leader.
@@ -73,18 +72,11 @@ var (
 	ErrUnknownChannel = errors.New("orderer: unknown channel")
 )
 
-// BroadcastEnvelope is the channel-tagged KindBroadcast payload. A bare
-// []byte payload is also accepted and routes to the default channel.
+// BroadcastEnvelope is the KindBroadcast payload. An empty channel
+// means the default channel.
 type BroadcastEnvelope struct {
 	Channel string
 	Env     []byte
-}
-
-// GetBlockArgs is the channel-tagged KindGetBlock payload. A bare
-// uint64 payload routes to the default channel.
-type GetBlockArgs struct {
-	Channel string
-	Number  uint64
 }
 
 // GetBlocksArgs is the KindGetBlocks payload: fetch channel blocks
@@ -103,7 +95,7 @@ type GetBlocksReply struct {
 }
 
 // SubscribeArgs scopes a KindSubscribe or KindUnsubscribe to named
-// channels. Nil or empty Channels means every channel.
+// channels. Empty Channels means every channel.
 type SubscribeArgs struct {
 	Channels []string
 }
@@ -271,8 +263,7 @@ func New(cfg Config) *Orderer {
 	cfg.Endpoint.Handle(KindBroadcast, o.handleBroadcast)
 	cfg.Endpoint.Handle(KindSubscribe, o.handleSubscribe)
 	cfg.Endpoint.Handle(KindUnsubscribe, o.handleUnsubscribe)
-	cfg.Endpoint.Handle(KindGetBlock, o.handleGetBlock)
-	cfg.Endpoint.Handle(KindGetBlocks, o.handleGetBlocks)
+	cfg.Endpoint.Handle(KindGetBlocks, o.handleBlockRange)
 	return o
 }
 
@@ -328,26 +319,17 @@ func (o *Orderer) Stop() {
 	}
 }
 
-// handleBroadcast ingests one client envelope. The payload is either a
-// *BroadcastEnvelope naming a channel or a bare []byte for the default
-// channel.
+// handleBroadcast ingests one client *BroadcastEnvelope.
 func (o *Orderer) handleBroadcast(ctx context.Context, _ string, payload any) (any, int, error) {
-	var channel string
-	var env []byte
-	switch p := payload.(type) {
-	case []byte:
-		env = p
-	case *BroadcastEnvelope:
-		channel = p.Channel
-		env = p.Env
-	default:
+	benv, ok := payload.(*BroadcastEnvelope)
+	if !ok || benv == nil {
 		return nil, 0, fmt.Errorf("orderer: bad broadcast payload %T", payload)
 	}
-	c, err := o.chainFor(channel)
+	c, err := o.chainFor(benv.Channel)
 	if err != nil {
 		return nil, 0, err
 	}
-	channel = c.id
+	channel, env := c.id, benv.Env
 	o.mu.Lock()
 	stopped := o.stopped
 	consenter := o.consenter
@@ -390,21 +372,17 @@ func (o *Orderer) handleBroadcast(ctx context.Context, _ string, payload any) (a
 }
 
 // parseSubscribeArgs extracts the channel scope of a subscribe or
-// unsubscribe payload. Legacy callers send nil or their node ID string;
-// both mean "every channel".
+// unsubscribe payload.
 func parseSubscribeArgs(payload any) (*SubscribeArgs, error) {
-	switch p := payload.(type) {
-	case nil, string, []byte:
-		return &SubscribeArgs{}, nil
-	case *SubscribeArgs:
-		return p, nil
-	default:
+	args, ok := payload.(*SubscribeArgs)
+	if !ok || args == nil {
 		return nil, fmt.Errorf("orderer: bad subscribe payload %T", payload)
 	}
+	return args, nil
 }
 
 // handleSubscribe registers a peer for block pushes — on every channel
-// (nil payload) or on the channels named in a *SubscribeArgs. Repeat
+// (empty Channels) or on the channels its *SubscribeArgs names. Repeat
 // subscriptions widen the channel set and reset the failure count. The
 // reply carries each subscribed channel's chain tip so the peer can
 // catch up without waiting for the next push.
@@ -482,40 +460,10 @@ func (o *Orderer) handleUnsubscribe(_ context.Context, from string, payload any)
 	return "OK", 2, nil
 }
 
-// handleGetBlock serves catch-up fetches by channel and block number.
-// The payload is either a *GetBlockArgs or a bare uint64 number for the
-// default channel.
-func (o *Orderer) handleGetBlock(_ context.Context, _ string, payload any) (any, int, error) {
-	var channel string
-	var num uint64
-	switch p := payload.(type) {
-	case uint64:
-		num = p
-	case *GetBlockArgs:
-		channel = p.Channel
-		num = p.Number
-	default:
-		return nil, 0, fmt.Errorf("orderer: bad getblock payload %T", payload)
-	}
-	c, err := o.chainFor(channel)
-	if err != nil {
-		return nil, 0, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if num >= uint64(len(c.blocks)) {
-		return nil, 0, fmt.Errorf("orderer %s: channel %s block %d not yet cut", o.cfg.ID, c.id, num)
-	}
-	b := c.blocks[num]
-	o.egressBlocks.Add(1)
-	o.egressBytes.Add(uint64(b.Size()))
-	return b, b.Size(), nil
-}
-
-// handleGetBlocks serves a ranged catch-up fetch: channel blocks
-// [From, To), truncated at the chain tip and at maxGetBlocksBatch. A
-// peer N blocks behind pays one round trip instead of N.
-func (o *Orderer) handleGetBlocks(_ context.Context, _ string, payload any) (any, int, error) {
+// handleBlockRange serves a ranged catch-up fetch: channel blocks
+// [From, To), truncated at the chain tip and at maxGetBlocksBatch, so a
+// peer N blocks behind pays one round trip per maxGetBlocksBatch blocks.
+func (o *Orderer) handleBlockRange(_ context.Context, _ string, payload any) (any, int, error) {
 	args, ok := payload.(*GetBlocksArgs)
 	if !ok {
 		return nil, 0, fmt.Errorf("orderer: bad getblocks payload %T", payload)
@@ -693,7 +641,7 @@ func (o *Orderer) emitBatch(channel string, batch [][]byte) {
 	size := block.Size()
 	for _, peer := range subs {
 		// Push delivery; a congested or crashed peer fills the gap
-		// later through KindGetBlock(s). The transport reports a down
+		// later through KindGetBlocks. The transport reports a down
 		// or unknown node synchronously, so consecutive failures here
 		// are the crash signal the pruning rule keys on.
 		if err := o.cfg.Endpoint.Send(peer, KindDeliverBlock, block, size); err != nil {

@@ -62,7 +62,7 @@ func TestSoloSizeCut(t *testing.T) {
 	_ = solo
 
 	// Subscribe as the client endpoint (sender identity is the key).
-	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, nil, 8); err != nil {
+	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, &SubscribeArgs{}, 8); err != nil {
 		t.Fatal(err)
 	}
 	// Deliveries go to "client"; hook them.
@@ -76,7 +76,7 @@ func TestSoloSizeCut(t *testing.T) {
 	})
 
 	for i := 0; i < 6; i++ {
-		if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast, []byte{byte(i)}, 1); err != nil {
+		if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast, &BroadcastEnvelope{Env: []byte{byte(i)}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestSoloTimeoutCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, nil, 8); err != nil {
+	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, &SubscribeArgs{}, 8); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
@@ -126,7 +126,7 @@ func TestSoloTimeoutCut(t *testing.T) {
 		return nil, 0, nil
 	})
 	start := time.Now()
-	if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast, []byte("solo-tx"), 7); err != nil {
+	if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast, &BroadcastEnvelope{Env: []byte("solo-tx")}, 7); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -158,27 +158,37 @@ func TestGetBlockCatchUp(t *testing.T) {
 	}
 	defer o.Stop()
 	for i := 0; i < 3; i++ {
-		if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast, []byte{byte(i)}, 1); err != nil {
+		if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast, &BroadcastEnvelope{Env: []byte{byte(i)}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Allow the cut loop to emit all three single-tx blocks.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		raw, err := h.client.Call(context.Background(), "osn1", KindGetBlock, uint64(3), 8)
-		if err == nil {
-			b := raw.(*types.Block)
-			if b.Header.Number != 3 {
-				t.Errorf("block number = %d", b.Header.Number)
+		if got := h.getBlocks(3, 4); len(got) == 1 {
+			if got[0].Header.Number != 3 {
+				t.Errorf("block number = %d", got[0].Header.Number)
 			}
-			if _, err := h.client.Call(context.Background(), "osn1", KindGetBlock, uint64(99), 8); err == nil {
-				t.Error("future block served")
+			if future := h.getBlocks(99, 100); len(future) != 0 {
+				t.Errorf("future fetch served %d blocks, want an empty reply", len(future))
 			}
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("block 3 never became fetchable")
+}
+
+// getBlocks fetches channel blocks [from, to) from osn1 on the default
+// channel.
+func (h *testHarness) getBlocks(from, to uint64) []*types.Block {
+	h.t.Helper()
+	raw, err := h.client.Call(context.Background(), "osn1", KindGetBlocks,
+		&GetBlocksArgs{From: from, To: to}, 24)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return raw.(*GetBlocksReply).Blocks
 }
 
 func TestBatchEncodeDecode(t *testing.T) {
@@ -212,7 +222,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 func (h *testHarness) broadcastN(o *Orderer, n int) {
 	h.t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := h.client.Call(context.Background(), o.ID(), KindBroadcast, []byte{byte(i)}, 1); err != nil {
+		if _, err := h.client.Call(context.Background(), o.ID(), KindBroadcast, &BroadcastEnvelope{Env: []byte{byte(i)}}, 1); err != nil {
 			h.t.Fatal(err)
 		}
 	}
@@ -230,8 +240,7 @@ func TestGetBlocksRanged(t *testing.T) {
 	defer o.Stop()
 	h.broadcastN(o, 4)
 	waitFor(t, 2*time.Second, func() bool {
-		_, err := h.client.Call(context.Background(), "osn1", KindGetBlock, uint64(4), 8)
-		return err == nil
+		return len(h.getBlocks(4, 5)) == 1
 	}, "block 4 never became fetchable")
 
 	raw, err := h.client.Call(context.Background(), "osn1", KindGetBlocks,
@@ -344,7 +353,7 @@ func TestUnsubscribeStopsPushes(t *testing.T) {
 		mu.Unlock()
 		return nil, 0, nil
 	})
-	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, nil, 8); err != nil {
+	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, &SubscribeArgs{}, 8); err != nil {
 		t.Fatal(err)
 	}
 	h.broadcastN(o, 1)
@@ -354,7 +363,7 @@ func TestUnsubscribeStopsPushes(t *testing.T) {
 		return len(got) == 1
 	}, "subscribed block never pushed")
 
-	if _, err := h.client.Call(context.Background(), "osn1", KindUnsubscribe, nil, 8); err != nil {
+	if _, err := h.client.Call(context.Background(), "osn1", KindUnsubscribe, &SubscribeArgs{}, 8); err != nil {
 		t.Fatal(err)
 	}
 	if subs := o.Subscribers(); len(subs) != 0 {
@@ -362,8 +371,7 @@ func TestUnsubscribeStopsPushes(t *testing.T) {
 	}
 	h.broadcastN(o, 2)
 	waitFor(t, 2*time.Second, func() bool {
-		_, err := h.client.Call(context.Background(), "osn1", KindGetBlock, uint64(3), 8)
-		return err == nil
+		return len(h.getBlocks(3, 4)) == 1
 	}, "block 3 never cut")
 	mu.Lock()
 	defer mu.Unlock()
@@ -402,7 +410,7 @@ func TestDeadSubscriberPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, nil, 8); err != nil {
+	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, &SubscribeArgs{}, 8); err != nil {
 		t.Fatal(err)
 	}
 	h.client.Handle(KindDeliverBlock, func(_ context.Context, _ string, _ any) (any, int, error) {
@@ -419,7 +427,7 @@ func TestDeadSubscriberPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := other.Call(context.Background(), "osn1", KindBroadcast, []byte{byte(i)}, 1); err != nil {
+		if _, err := other.Call(context.Background(), "osn1", KindBroadcast, &BroadcastEnvelope{Env: []byte{byte(i)}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +461,7 @@ func TestEgressStatsCountDeliveries(t *testing.T) {
 	h.client.Handle(KindDeliverBlock, func(_ context.Context, _ string, _ any) (any, int, error) {
 		return nil, 0, nil
 	})
-	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, nil, 8); err != nil {
+	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, &SubscribeArgs{}, 8); err != nil {
 		t.Fatal(err)
 	}
 	h.broadcastN(o, 3)
@@ -471,5 +479,35 @@ func TestEgressStatsCountDeliveries(t *testing.T) {
 	}
 	if bytes == 0 {
 		t.Error("egress bytes not counted")
+	}
+}
+
+// TestRejectsUntypedPayloads pins the typed wire contract: broadcasts
+// carry a *BroadcastEnvelope and (un)subscribes a *SubscribeArgs; the
+// bare forms are refused rather than routed to a default.
+func TestRejectsUntypedPayloads(t *testing.T) {
+	h := newHarness(t)
+	o := h.newOrderer("osn1", 1, time.Minute)
+	NewSolo(o)
+	if err := o.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer o.Stop()
+	ctx := context.Background()
+	for _, payload := range []any{[]byte("bare"), (*BroadcastEnvelope)(nil)} {
+		if _, err := h.client.Call(ctx, "osn1", KindBroadcast, payload, 4); err == nil {
+			t.Errorf("broadcast with %T payload accepted", payload)
+		}
+	}
+	for _, payload := range []any{nil, "client", []byte("client"), (*SubscribeArgs)(nil)} {
+		if _, err := h.client.Call(ctx, "osn1", KindSubscribe, payload, 8); err == nil {
+			t.Errorf("subscribe with %T payload accepted", payload)
+		}
+		if _, err := h.client.Call(ctx, "osn1", KindUnsubscribe, payload, 8); err == nil {
+			t.Errorf("unsubscribe with %T payload accepted", payload)
+		}
+	}
+	if subs := o.Subscribers(); len(subs) != 0 {
+		t.Errorf("rejected subscribes registered %v", subs)
 	}
 }

@@ -196,23 +196,14 @@ func (r *RaftConsenter) Submit(ctx context.Context, channel string, env []byte) 
 	return nil
 }
 
-// handleForward ingests envelopes forwarded from follower OSNs. The
-// payload is either a *SubmitArgs or a bare []byte for the default
-// channel.
+// handleForward ingests one *SubmitArgs envelope forwarded from a
+// follower OSN.
 func (r *RaftConsenter) handleForward(ctx context.Context, _ string, payload any) (any, int, error) {
-	var channel string
-	var env []byte
-	switch p := payload.(type) {
-	case []byte:
-		channel = r.orderer.defaultChannel()
-		env = p
-	case *SubmitArgs:
-		channel = p.Channel
-		env = p.Env
-	default:
+	args, ok := payload.(*SubmitArgs)
+	if !ok || args == nil {
 		return nil, 0, fmt.Errorf("raft consenter: bad forward payload %T", payload)
 	}
-	g, ok := r.groups[channel]
+	g, ok := r.groups[args.Channel]
 	if !ok {
 		return nil, 0, ErrUnknownChannel
 	}
@@ -221,7 +212,7 @@ func (r *RaftConsenter) handleForward(ctx context.Context, _ string, payload any
 		return nil, 0, fmt.Errorf("raft consenter: not leader (leader is %q)", leader)
 	}
 	select {
-	case g.in <- env:
+	case g.in <- args.Env:
 		return "ACK", 4, nil
 	case <-r.stopCh:
 		return nil, 0, ErrStopped

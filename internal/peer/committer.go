@@ -420,10 +420,12 @@ func (p *Peer) appendLoop(cs *channelState) {
 			if p.cfg.OnCommit != nil {
 				p.cfg.OnCommit(pb.committed, now)
 			}
-			p.emitCommitEvents(cs, pb.committed, pb.txs, now)
+			// Record the commit spans before the events go out, so a
+			// client that sees its commit also sees the trace peer's spans.
 			if p.cfg.TraceCommits && p.cfg.Tracer.Enabled() {
 				p.recordCommitSpans(cs, pb, start, now)
 			}
+			p.emitCommitEvents(pb.committed, pb.txs, now)
 			if p.cfg.StageObserver != nil {
 				mvccAborts, earlyAborts := 0, 0
 				for _, f := range pb.committed.Metadata.ValidationFlags {

@@ -2,7 +2,7 @@ package peer
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -388,102 +388,6 @@ func TestOutOfOrderDelivery(t *testing.T) {
 	}
 }
 
-// commitStatus issues one commit-status request from the test client.
-func (e *env) commitStatus(i int, id types.TxID, wait time.Duration) (*CommitEvent, error) {
-	e.t.Helper()
-	raw, err := e.sender.Call(context.Background(), peerID(i+1), KindCommitStatus,
-		&CommitStatusRequest{TxID: id, Channel: "perf", WaitNanos: int64(wait)}, 64)
-	if err != nil {
-		return nil, err
-	}
-	return raw.(*CommitEvent), nil
-}
-
-func TestCommitStatusFromLedgerIndex(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	prop := e.proposal("write", "cs1", "v")
-	e.deliver(0, e.buildTx(prop, 0))
-	ev, err := e.commitStatus(0, prop.TxID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.TxID != prop.TxID || ev.Code != types.ValidationValid || ev.BlockNum != 1 {
-		t.Errorf("event = %+v", ev)
-	}
-}
-
-func TestCommitStatusUnknownTxFailsFast(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	if _, err := e.commitStatus(0, "no-such-tx", 0); err == nil {
-		t.Error("unknown tx answered without waiting")
-	}
-}
-
-func TestCommitStatusWaitsForCommit(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	prop := e.proposal("write", "cs2", "v")
-	tx := e.buildTx(prop, 0)
-
-	type reply struct {
-		ev  *CommitEvent
-		err error
-	}
-	got := make(chan reply, 1)
-	go func() {
-		ev, err := e.commitStatus(0, prop.TxID, 5*time.Second)
-		got <- reply{ev, err}
-	}()
-	// Let the request park on the waiter registry, then commit.
-	time.Sleep(20 * time.Millisecond)
-	e.deliver(0, tx)
-	select {
-	case r := <-got:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		// The request usually resolves from the waiter registry (live
-		// CommitTime), but on a slow scheduler it may land after the
-		// commit and answer from the ledger index — both are correct, so
-		// only the outcome fields are asserted.
-		if r.ev.TxID != prop.TxID || !r.ev.Code.Valid() || r.ev.BlockNum != 1 {
-			t.Errorf("event = %+v", r.ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked commit-status request never resolved")
-	}
-	// The satisfied waiter must be removed from the registry.
-	cs, _ := e.peers[0].channelFor("perf")
-	cs.mu.Lock()
-	n := len(cs.waiters)
-	cs.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d waiters leaked", n)
-	}
-}
-
-func TestCommitStatusWaitTimesOutAndCleansUp(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	if _, err := e.commitStatus(0, "never-commits", 30*time.Millisecond); err == nil {
-		t.Error("uncommitted tx answered")
-	}
-	cs, _ := e.peers[0].channelFor("perf")
-	cs.mu.Lock()
-	n := len(cs.waiters)
-	cs.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d waiters leaked after timeout", n)
-	}
-}
-
-func TestCommitStatusUnknownChannel(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	_, err := e.sender.Call(context.Background(), peerID(1), KindCommitStatus,
-		&CommitStatusRequest{TxID: "x", Channel: "nope"}, 64)
-	if err == nil {
-		t.Error("unknown channel accepted")
-	}
-}
-
 // TestMalformedProposalChargesNoCPU is the cost-accounting regression
 // for the endorse path: a flood of malformed proposals must be rejected
 // before EndorseVerifyCPU is charged — real Fabric drops garbage while
@@ -590,16 +494,14 @@ func waitHeight(t *testing.T, p *Peer, h uint64) {
 	t.Fatalf("peer %s height %d never reached %d", p.ID(), p.Ledger().Height(), h)
 }
 
-// TestRangedCatchUpSingleRoundTrip is the regression for the
-// one-block-at-a-time gap fill: a peer that is N blocks behind closes
-// the gap with one KindGetBlocks round trip, never touching the
-// single-block path.
-func TestRangedCatchUpSingleRoundTrip(t *testing.T) {
-	e := newEnv(t, 1, policy.OrOverPeers(1), false)
-	chain := emptyChain(5)
-
+// stubDeliver registers a stub orderer "osn9" that serves chain over
+// KindGetBlocks, capping each reply at batch blocks (0 = uncapped), and
+// returns its endpoint plus the From of every ranged call in arrival
+// order.
+func stubDeliver(t *testing.T, e *env, chain []*types.Block, batch int) (transport.Endpoint, func() []uint64) {
+	t.Helper()
 	var mu sync.Mutex
-	ranged, single := 0, 0
+	var froms []uint64
 	osn, err := e.net.Register("osn9")
 	if err != nil {
 		t.Fatal(err)
@@ -607,10 +509,13 @@ func TestRangedCatchUpSingleRoundTrip(t *testing.T) {
 	osn.Handle(orderer.KindGetBlocks, func(_ context.Context, _ string, payload any) (any, int, error) {
 		args := payload.(*orderer.GetBlocksArgs)
 		mu.Lock()
-		ranged++
+		froms = append(froms, args.From)
 		mu.Unlock()
 		reply := &orderer.GetBlocksReply{}
 		for num := args.From; num < args.To && num <= uint64(len(chain)); num++ {
+			if batch > 0 && len(reply.Blocks) == batch {
+				break
+			}
 			if num == 0 {
 				continue
 			}
@@ -618,55 +523,78 @@ func TestRangedCatchUpSingleRoundTrip(t *testing.T) {
 		}
 		return reply, 64, nil
 	})
-	osn.Handle(orderer.KindGetBlock, func(_ context.Context, _ string, _ any) (any, int, error) {
+	return osn, func() []uint64 {
 		mu.Lock()
-		single++
-		mu.Unlock()
-		return nil, 0, errors.New("single-block path must not be used")
-	})
+		defer mu.Unlock()
+		return append([]uint64(nil), froms...)
+	}
+}
+
+// TestRangedCatchUpSingleRoundTrip is the regression for the
+// one-block-at-a-time gap fill: a peer that is N blocks behind closes
+// the gap with one KindGetBlocks round trip.
+func TestRangedCatchUpSingleRoundTrip(t *testing.T) {
+	e := newEnv(t, 1, policy.OrOverPeers(1), false)
+	chain := emptyChain(5)
+	osn, calls := stubDeliver(t, e, chain, 0)
 
 	// Push only block 5; the peer must fetch [1,5) in one ranged call.
 	if err := osn.Send(peerID(1), orderer.KindDeliverBlock, chain[4], chain[4].Size()); err != nil {
 		t.Fatal(err)
 	}
 	waitHeight(t, e.peers[0], 6)
-	mu.Lock()
-	defer mu.Unlock()
-	if ranged != 1 {
-		t.Errorf("ranged fetches = %d, want exactly 1", ranged)
-	}
-	if single != 0 {
-		t.Errorf("single-block fetches = %d, want 0", single)
+	if n := len(calls()); n != 1 {
+		t.Errorf("ranged fetches = %d, want exactly 1", n)
 	}
 	if err := e.peers[0].Ledger().VerifyChain(); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestSingleBlockCatchUpFallback keeps the legacy path honest: when the
-// deliver service cannot serve ranged fetches, the peer falls back to
-// one-block round trips and still converges.
-func TestSingleBlockCatchUpFallback(t *testing.T) {
-	e := newEnv(t, 1, policy.OrOverPeers(1), false)
-	chain := emptyChain(4)
-	osn, err := e.net.Register("osn9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No KindGetBlocks handler: the ranged call errors, forcing the
-	// fallback.
-	osn.Handle(orderer.KindGetBlock, func(_ context.Context, _ string, payload any) (any, int, error) {
-		args := payload.(*orderer.GetBlockArgs)
-		if args.Number == 0 || args.Number > uint64(len(chain)) {
-			return nil, 0, errors.New("no such block")
+// TestRangedCatchUpPagesToTip covers a deliver service whose batch cap
+// is below the gap: the peer pages through the range in order, one
+// round trip per batch, and commits every block exactly once.
+func TestRangedCatchUpPagesToTip(t *testing.T) {
+	var mu sync.Mutex
+	var committed []uint64
+	e := newEnvFull(t, 1, policy.OrOverPeers(1), false, nil, nil, func(cfg *Config) {
+		cfg.OnCommit = func(b *types.Block, _ time.Time) {
+			mu.Lock()
+			committed = append(committed, b.Header.Number)
+			mu.Unlock()
 		}
-		b := chain[args.Number-1]
-		return b, b.Size(), nil
 	})
-	if err := osn.Send(peerID(1), orderer.KindDeliverBlock, chain[3], chain[3].Size()); err != nil {
+	chain := emptyChain(8)
+	osn, calls := stubDeliver(t, e, chain, 2)
+
+	// Push only block 8: the 7-block gap [1,8) takes four pages of at
+	// most two blocks each.
+	if err := osn.Send(peerID(1), orderer.KindDeliverBlock, chain[7], chain[7].Size()); err != nil {
 		t.Fatal(err)
 	}
-	waitHeight(t, e.peers[0], 5)
+	waitHeight(t, e.peers[0], 9)
+	if got, want := fmt.Sprint(calls()), "[1 3 5 7]"; got != want {
+		t.Errorf("ranged fetch starts = %s, want %s", got, want)
+	}
+	// OnCommit runs just after the ledger append that waitHeight saw.
+	var got string
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := len(committed)
+		got = fmt.Sprint(committed)
+		mu.Unlock()
+		if n >= 8 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if want := "[1 2 3 4 5 6 7 8]"; got != want {
+		t.Errorf("committed blocks = %s, want %s", got, want)
+	}
+	if err := e.peers[0].Ledger().VerifyChain(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestGossipAndDeliverDuplicateCommitsOnce is the duplicate-delivery
