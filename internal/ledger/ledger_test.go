@@ -214,6 +214,55 @@ func TestHistoryCap(t *testing.T) {
 	}
 }
 
+// TestHistoryRingWraps drives one key's history to three times the cap
+// and checks after every write that the index holds the newest cap
+// versions oldest first, that a replayed (older or equal) version is
+// ignored, and that a snapshot taken past the cap restores the same
+// window and keeps wrapping in order.
+func TestHistoryRingWraps(t *testing.T) {
+	const limit = 4
+	x := newMemIndex(limit)
+	var want []types.Version
+	check := func(idx *memIndex, step string) {
+		t.Helper()
+		got := idx.History("cc", "hot")
+		if len(got) != len(want) {
+			t.Fatalf("%s: history %v, want %v", step, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: history %v, want %v", step, got, want)
+			}
+		}
+	}
+	for n := uint64(1); n <= 3*limit; n++ {
+		v := types.Version{BlockNum: n}
+		x.AddHistory("cc", "hot", v)
+		want = append(want, v)
+		if len(want) > limit {
+			want = want[1:]
+		}
+		check(x, fmt.Sprintf("write %d", n))
+		x.AddHistory("cc", "hot", types.Version{BlockNum: n - 1})
+		x.AddHistory("cc", "hot", v)
+		check(x, fmt.Sprintf("replay after write %d", n))
+	}
+
+	snap, err := UnmarshalIndexSnapshot(types.NewDecoder(x.Snapshot().Marshal()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := newMemIndex(limit)
+	y.Restore(snap)
+	check(y, "restored")
+	for n := uint64(3*limit + 1); n <= 4*limit+1; n++ {
+		v := types.Version{BlockNum: n}
+		y.AddHistory("cc", "hot", v)
+		want = append(want[1:], v)
+		check(y, fmt.Sprintf("restored write %d", n))
+	}
+}
+
 func TestGetBlockBounds(t *testing.T) {
 	withBackends(t, func(t *testing.T, open func(t *testing.T) *Ledger) {
 		l := open(t)

@@ -103,7 +103,7 @@ func (s *memStore) Close() error { return nil }
 type memIndex struct {
 	mu         sync.RWMutex
 	txs        map[types.TxID]TxInfo
-	history    map[string][]types.Version
+	history    map[string]historyRing
 	valid      int
 	invalid    int
 	historyCap int
@@ -115,7 +115,7 @@ func newMemIndex(historyCap int) *memIndex {
 	}
 	return &memIndex{
 		txs:        make(map[types.TxID]TxInfo),
-		history:    make(map[string][]types.Version),
+		history:    make(map[string]historyRing),
 		historyCap: historyCap,
 	}
 }
@@ -156,27 +156,18 @@ func (x *memIndex) AddHistory(ns, key string, v types.Version) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	hk := ns + "/" + key
-	if cur := x.history[hk]; len(cur) > 0 && v.Compare(cur[len(cur)-1]) <= 0 {
+	r := x.history[hk]
+	if len(r.buf) > 0 && v.Compare(r.newest()) <= 0 {
 		return // recovery replay of a version the index already holds
 	}
-	h := append(x.history[hk], v)
-	if x.historyCap > 0 && len(h) > x.historyCap {
-		// Compact: retain the newest historyCap versions, in a fresh
-		// backing array so the dropped prefix can be collected.
-		compacted := make([]types.Version, x.historyCap)
-		copy(compacted, h[len(h)-x.historyCap:])
-		h = compacted
-	}
-	x.history[hk] = h
+	r.add(v, x.historyCap)
+	x.history[hk] = r
 }
 
 func (x *memIndex) History(ns, key string) []types.Version {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	h := x.history[ns+"/"+key]
-	out := make([]types.Version, len(h))
-	copy(out, h)
-	return out
+	return x.history[ns+"/"+key].ordered()
 }
 
 func (x *memIndex) Counts() (total, valid, invalid int) {
@@ -196,10 +187,8 @@ func (x *memIndex) Snapshot() *IndexSnapshot {
 		snap.Txs = append(snap.Txs, TxRecord{ID: id, Info: info})
 	}
 	sort.Slice(snap.Txs, func(i, j int) bool { return snap.Txs[i].ID < snap.Txs[j].ID })
-	for hk, versions := range x.history {
-		vs := make([]types.Version, len(versions))
-		copy(vs, versions)
-		snap.History = append(snap.History, HistoryRecord{Key: hk, Versions: vs})
+	for hk, r := range x.history {
+		snap.History = append(snap.History, HistoryRecord{Key: hk, Versions: r.ordered()})
 	}
 	sort.Slice(snap.History, func(i, j int) bool { return snap.History[i].Key < snap.History[j].Key })
 	return snap
@@ -218,15 +207,49 @@ func (x *memIndex) Restore(snap *IndexSnapshot) {
 			x.invalid++
 		}
 	}
-	x.history = make(map[string][]types.Version, len(snap.History))
+	x.history = make(map[string]historyRing, len(snap.History))
 	for _, r := range snap.History {
-		vs := make([]types.Version, len(r.Versions))
-		copy(vs, r.Versions)
-		x.history[r.Key] = vs
+		vs := r.Versions
+		if x.historyCap > 0 && len(vs) > x.historyCap {
+			vs = vs[len(vs)-x.historyCap:]
+		}
+		x.history[r.Key] = historyRing{buf: append([]types.Version(nil), vs...)}
 	}
 }
 
 func (x *memIndex) Close() {}
+
+// historyRing holds one key's newest write versions. buf grows by
+// append until it holds the history cap, then each write overwrites the
+// oldest entry in place, at head; a negative cap never wraps. Rings are
+// stored by value, so a key's first write allocates only its buf.
+type historyRing struct {
+	buf  []types.Version
+	head int // index of the oldest entry once buf is full
+}
+
+// add appends v as the newest version, evicting the oldest once the
+// ring holds limit versions.
+func (r *historyRing) add(v types.Version, limit int) {
+	if limit <= 0 || len(r.buf) < limit {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % len(r.buf)
+}
+
+// newest returns the most recent version; buf must be non-empty.
+func (r historyRing) newest() types.Version {
+	return r.buf[(r.head+len(r.buf)-1)%len(r.buf)]
+}
+
+// ordered returns a private copy of the versions, oldest first.
+func (r historyRing) ordered() []types.Version {
+	out := make([]types.Version, 0, len(r.buf))
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
+}
 
 // --- index snapshot codec ---
 

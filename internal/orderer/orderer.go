@@ -638,13 +638,19 @@ func (o *Orderer) emitBatch(channel string, batch [][]byte) {
 	if o.cfg.Tracer.Enabled() {
 		o.recordResidency(c.id, num, batch, now)
 	}
+	// Every subscriber receives one delivery copy, so in-process peers
+	// decode its transactions once between them. The chain keeps the
+	// cache-free block: catch-up replies never pin decoded transactions,
+	// and the shared set is freed once the last peer's pipeline drops
+	// the copy.
+	delivery := block.DeliveryCopy()
 	size := block.Size()
 	for _, peer := range subs {
 		// Push delivery; a congested or crashed peer fills the gap
 		// later through KindGetBlocks. The transport reports a down
 		// or unknown node synchronously, so consecutive failures here
 		// are the crash signal the pruning rule keys on.
-		if err := o.cfg.Endpoint.Send(peer, KindDeliverBlock, block, size); err != nil {
+		if err := o.cfg.Endpoint.Send(peer, KindDeliverBlock, delivery, size); err != nil {
 			o.noteSendFailure(peer)
 			continue
 		}

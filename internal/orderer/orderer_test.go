@@ -1,6 +1,7 @@
 package orderer
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -265,6 +266,72 @@ func TestGetBlocksRanged(t *testing.T) {
 	}
 	if n := len(raw.(*GetBlocksReply).Blocks); n != 0 {
 		t.Errorf("future range returned %d blocks", n)
+	}
+}
+
+// TestCatchUpBlocksDoNotShareDecode checks that only the pushed
+// delivery copy memoizes its decoded transactions: the block a
+// KindGetBlocks reply serves is the chain's cache-free original, so a
+// catch-up fetch never pins (or shares) the pushed copy's transactions.
+func TestCatchUpBlocksDoNotShareDecode(t *testing.T) {
+	h := newHarness(t)
+	o := h.newOrderer("osn1", 2, time.Minute)
+	NewSolo(o)
+	if err := o.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer o.Stop()
+	pushed := make(chan *types.Block, 1)
+	h.client.Handle(KindDeliverBlock, func(_ context.Context, _ string, payload any) (any, int, error) {
+		pushed <- payload.(*types.Block)
+		return nil, 0, nil
+	})
+	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, &SubscribeArgs{}, 8); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []types.TxID{"tx-a", "tx-b"} {
+		env := (&types.Transaction{Proposal: types.Proposal{TxID: id, ChaincodeID: "cc"}}).Marshal()
+		if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast, &BroadcastEnvelope{Env: env}, len(env)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var push *types.Block
+	select {
+	case push = <-pushed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("block 1 never pushed")
+	}
+	fetched := h.getBlocks(1, 2)
+	if len(fetched) != 1 {
+		t.Fatalf("fetched %d blocks, want 1", len(fetched))
+	}
+	if !bytes.Equal(fetched[0].Marshal(), push.Marshal()) {
+		t.Fatal("fetched block 1 differs from the pushed one")
+	}
+
+	decode := func(b *types.Block) []*types.Transaction {
+		t.Helper()
+		txs, err := b.Transactions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(txs) != 2 {
+			t.Fatalf("decoded %d txs, want 2", len(txs))
+		}
+		return txs
+	}
+	push1, push2 := decode(push), decode(push)
+	fetch1, fetch2 := decode(fetched[0]), decode(fetched[0])
+	for i := range push1 {
+		if push1[i] != push2[i] {
+			t.Errorf("tx %d: pushed copy decoded twice", i)
+		}
+		if fetch1[i] == push1[i] || fetch2[i] == push1[i] {
+			t.Errorf("tx %d: catch-up block shares the pushed copy's decode", i)
+		}
+		if fetch1[i] == fetch2[i] {
+			t.Errorf("tx %d: catch-up block memoized its decode", i)
+		}
 	}
 }
 

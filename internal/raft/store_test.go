@@ -379,6 +379,9 @@ func TestCompactionAndRestartFromBase(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// The apply loop may compact again after the wait above; Stop waits
+	// for it, so the state the restart must recover is read afterwards.
+	n.Stop()
 	base, last := n.CompactionBase(), n.LastIndex()
 	if _, ok := n.EntryAt(base); ok {
 		t.Error("compacted entry still exposed")
@@ -386,7 +389,6 @@ func TestCompactionAndRestartFromBase(t *testing.T) {
 	if err := n.PersistErr(); err != nil {
 		t.Fatal(err)
 	}
-	n.Stop()
 	net.Deregister("n1")
 
 	r := newSolo()

@@ -71,7 +71,7 @@ type Config struct {
 	// TimeScale compresses modeled delays into wall time (see
 	// costmodel.Model.TimeScale).
 	TimeScale float64
-	// InboxSize is each endpoint's receive buffer (default 4096).
+	// InboxSize is each endpoint's receive buffer (default 1024).
 	InboxSize int
 }
 
@@ -82,7 +82,7 @@ type Network struct {
 	mu    sync.RWMutex
 	nodes map[string]*MemEndpoint
 	down  map[string]bool
-	links map[string]*link // "src->dst"
+	links map[linkKey]*link
 
 	// linkset holds the per-directed-link property matrix (latency,
 	// jitter, loss, partitions). It seeds from Config.Latency and is
@@ -106,7 +106,7 @@ func NewNetwork(cfg Config) *Network {
 		cfg:     cfg,
 		nodes:   make(map[string]*MemEndpoint),
 		down:    make(map[string]bool),
-		links:   make(map[string]*link),
+		links:   make(map[linkKey]*link),
 		linkset: NewLinkSet(LinkProps{Latency: cfg.Latency}),
 		done:    make(chan struct{}),
 	}
@@ -115,6 +115,9 @@ func NewNetwork(cfg Config) *Network {
 // Links returns the network's runtime link-property matrix. Values are
 // modeled time (scaled by Config.TimeScale on delivery).
 func (n *Network) Links() *LinkSet { return n.linkset }
+
+// linkKey names one directed link.
+type linkKey struct{ from, to string }
 
 // link serializes messages of one directed link in FIFO order with the
 // configured latency and bandwidth.
@@ -215,7 +218,7 @@ func (n *Network) deliver(msg message) error {
 		n.mu.RUnlock()
 		return fmt.Errorf("%w: %q", ErrUnknownNode, msg.to)
 	}
-	key := msg.from + "->" + msg.to
+	key := linkKey{msg.from, msg.to}
 	l, ok := n.links[key]
 	n.mu.RUnlock()
 
@@ -260,7 +263,7 @@ func (n *Network) deliver(msg message) error {
 	case l.ch <- msg:
 		return nil
 	default:
-		return fmt.Errorf("transport: link %s congested", key)
+		return fmt.Errorf("transport: link %s->%s congested", msg.from, msg.to)
 	}
 }
 

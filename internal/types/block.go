@@ -3,7 +3,9 @@ package types
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // BlockHeader chains a block to its predecessor. DataHash commits to the
@@ -65,16 +67,36 @@ type Block struct {
 	Header   BlockHeader
 	Data     [][]byte
 	Metadata BlockMetadata
+
+	// decoded, when set, memoizes Transactions for every holder of this
+	// block pointer. Only DeliveryCopy sets it: NewBlock, UnmarshalBlock,
+	// gob and struct literals leave it nil, so those blocks decode afresh
+	// on each call.
+	decoded *decodedTxs
+}
+
+// decodedTxs is the once-decoded transaction set of a delivery copy.
+type decodedTxs struct {
+	once sync.Once
+	txs  []*Transaction
+	err  error
+}
+
+// DeliveryCopy returns a shallow copy of b whose Transactions decode at
+// most once, however many goroutines call it: the in-memory transport
+// hands one block pointer to every subscribed peer (and gossip forwards
+// that same pointer), so they all share one decode. The copy shares
+// Data and Metadata with b; neither may be modified.
+func (b *Block) DeliveryCopy() *Block {
+	return &Block{Header: b.Header, Data: b.Data, Metadata: b.Metadata, decoded: &decodedTxs{}}
 }
 
 // ComputeDataHash hashes the concatenation of length-prefixed payloads.
 func ComputeDataHash(data [][]byte) []byte {
 	h := sha256.New()
-	var lenBuf [10]byte
+	var lenBuf [binary.MaxVarintLen64]byte
 	for _, d := range data {
-		enc := NewEncoder(10)
-		enc.Uvarint(uint64(len(d)))
-		n := copy(lenBuf[:], enc.Bytes())
+		n := binary.PutUvarint(lenBuf[:], uint64(len(d)))
 		h.Write(lenBuf[:n])
 		h.Write(d)
 	}
@@ -108,7 +130,23 @@ func (b *Block) VerifyDataHash() error {
 // Transactions decodes every envelope in the block. A decoding failure
 // on any transaction aborts with an error; the committer treats that as
 // a BAD_PAYLOAD block.
+//
+// On a DeliveryCopy the first call decodes and every later call, from
+// any goroutine, returns the same slice and the same *Transaction
+// values (or the same error). Callers must therefore treat the result
+// as read-only: never modify the slice, a transaction, or any slice or
+// byte buffer it references. Other blocks decode fresh objects on each
+// call.
 func (b *Block) Transactions() ([]*Transaction, error) {
+	if d := b.decoded; d != nil {
+		d.once.Do(func() { d.txs, d.err = b.decode() })
+		return d.txs, d.err
+	}
+	return b.decode()
+}
+
+// decode unmarshals every envelope in Data.
+func (b *Block) decode() ([]*Transaction, error) {
 	txs := make([]*Transaction, 0, len(b.Data))
 	for i, d := range b.Data {
 		tx, err := UnmarshalTransaction(d)
